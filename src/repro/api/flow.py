@@ -1195,15 +1195,8 @@ class Flow:
                 f"engine {engine!r} does not support scheduled actions "
                 f"(no at() hook); cannot inject feedback declaratively"
             )
-        if schedule:
-            supports_owner = (
-                "owner" in inspect.signature(runner.at).parameters
-            )
-            for when, thunk, owner in schedule:
-                if supports_owner:
-                    runner.at(when, thunk, owner=owner)
-                else:
-                    runner.at(when, thunk)
+        for when, thunk, owner in schedule:
+            runner.at(when, thunk, owner=owner)
         return runner.run()
 
     # -- internals ----------------------------------------------------------------

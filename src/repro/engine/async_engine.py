@@ -13,36 +13,26 @@ tuples") -- but the workers are coroutines multiplexed on one asyncio
 event loop: thousands of idle sources cost nothing but a parked
 ``await``.
 
-Like the simulator and the threaded runtime, this engine is a *policy*
-layer over :class:`~repro.engine.runtime.RuntimeCore` (DESIGN.md section
-3): the core owns control draining (``control_latency`` arrival
-semantics on the wall clock, exactly as the threaded runtime), input
-completion, finish, backpressure watermarks and shard-lane flow control;
-this module owns the coroutines.  The wake-up half of the policy is the
-shared :class:`~repro.engine.notify.NotificationPolicy` bound to an
-:class:`~repro.stream.waiters.AsyncioConditionWaiter`: wake-ups ride an
-``asyncio.Condition`` mirroring the threaded engine's
-``threading.Condition`` discipline -- every state change notifies, idle
-coroutines ``await`` the condition (no polling), and the only timed wait
-is the arrival deadline of an in-flight control message.  Paused
-coroutines likewise ``await`` instead of sleeping a thread, so
-backpressure (``queue_capacity``, docs/backpressure.md) parks work
-without occupying the loop.
+This module is only a *driver*.  The scheduling step -- drain control
+before data, honour a pause, pick an input port, idle-flush and detect
+completion -- is the sans-IO :class:`~repro.engine.notify.
+NotificationPolicy` over :class:`~repro.engine.runtime.RuntimeCore`
+(DESIGN.md section 3), the same step the threaded runtime drives.  Here
+it is bound to an :class:`~repro.stream.waiters.AsyncioConditionWaiter`:
+every state change notifies an ``asyncio.Condition``, a coroutine the
+step tells to wait ``await``\\ s it (no polling; the only timed wait is
+the arrival deadline of an in-flight control message), and a paused
+producer parks the same way without occupying the loop.
 
-Scheduling discipline: each coroutine runs its synchronous engine steps
-while holding the condition's lock -- free under cooperative scheduling,
-since only one coroutine executes at a time -- and releases it exactly
-at its awaits (``Condition.wait``, the per-page cooperative yield, and
-``emulate_costs`` sleeps).  Because notifications originate inside
-synchronous operator callbacks, "the lock is held" always means "held by
-the running task", which is what makes a plain synchronous
-``notify_all`` legal (see :mod:`repro.stream.waiters`).
-
-``emulate_costs=True`` charges each operator's cost model with
-``asyncio.sleep`` *outside* the lock, so modeled CPU cost overlaps
-across operator coroutines exactly as the threaded engine's modeled
-costs overlap across threads (and as NiagaraST's real per-operator CPU
-time would).
+Each coroutine holds the condition's lock while it calls the step --
+free under cooperative scheduling, since only one coroutine executes at
+a time -- and releases it exactly at its awaits: ``Condition.wait``, the
+cooperative yield before every page and every source element, and
+``emulate_costs`` sleeps (which therefore overlap across coroutines the
+way the threaded engine's sleeps overlap across threads).  Because
+notifications originate inside synchronous operator callbacks, "the lock
+is held" always means "held by the running task", which is what makes a
+plain synchronous ``notify_all`` legal (see :mod:`repro.stream.waiters`).
 
 Sources that expose ``aevents()`` -- an *async* iterator of ``(arrival,
 element)`` pairs, e.g. :class:`~repro.operators.source.
@@ -62,9 +52,9 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable
 
-from repro.engine.notify import NotificationPolicy
+from repro.engine.notify import DONE, WAIT, NotificationPolicy
 from repro.engine.plan import QueryPlan
-from repro.engine.runtime import RunResult, RuntimeCore
+from repro.engine.runtime import RunResult
 from repro.errors import EngineError
 from repro.operators.base import Operator, SourceOperator
 from repro.stream.clock import WallClock
@@ -73,7 +63,7 @@ from repro.stream.waiters import AsyncioConditionWaiter
 __all__ = ["AsyncioEngine"]
 
 
-class AsyncioEngine(NotificationPolicy, RuntimeCore):
+class AsyncioEngine(NotificationPolicy):
     """Run a plan with one coroutine per operator on an asyncio loop.
 
     Parameters
@@ -120,51 +110,14 @@ class AsyncioEngine(NotificationPolicy, RuntimeCore):
         self.timeout = timeout
         self.emulate_costs = emulate_costs
         self._init_notifications(AsyncioConditionWaiter())
-        self._actions: list[tuple[float, Callable[[], None]]] = []
-        self._action_errors: list[BaseException] = []
 
-    def at(self, time: float, action: Callable[[], None]) -> None:
-        """Schedule a client-side action at ``time`` wall-clock seconds.
-
-        Mirrors ``Simulator.at`` / ``ThreadedRuntime.at`` so ``Flow.run``'s
-        declarative feedback injection works engine-agnostically.  The
-        action runs on its own coroutine under the condition lock; an
-        action whose time falls after the plan has already drained never
-        fires -- the same "the stream is over" rule every engine applies
-        to in-flight feedback.
-        """
-        if self._started:
-            raise EngineError("schedule actions before calling run()")
-        self._actions.append((float(time), action))
+    # The scheduling step (next_page/page_done, admit_source/finish_source,
+    # costs, abort) and the wake-up hooks come from NotificationPolicy,
+    # shared with the threaded runtime; what follows is only the driver.
 
     # -- coroutine bodies ----------------------------------------------------------
 
-    async def _wait_for_work(self, operator: Operator) -> None:
-        """Park (lock held) until a page or control message arrives.
-
-        Purely notification-driven; the only timed wait is the arrival
-        deadline of an in-flight (deferred) control message.  The lock is
-        re-held when this returns, timed out or notified.
-        """
-        await self._waiter.wait(self.wait_timeout(operator))
-
-    async def _yield_outside_lock(self, sleep: float) -> None:
-        """Release the condition, await, re-acquire.
-
-        This is the engine's only suspension point besides
-        ``Condition.wait``: the per-page cooperative yield (``sleep=0``)
-        that lets pipelined operators interleave, and the
-        ``emulate_costs`` sleep that lets modeled costs overlap.
-        """
-        condition = self._waiter.condition
-        condition.release()
-        try:
-            await asyncio.sleep(sleep)
-        finally:
-            await condition.acquire()
-
     async def _source_body(self, source: SourceOperator) -> None:
-        condition = self._waiter.condition
         aevents = getattr(source, "aevents", None)
         if aevents is not None:
             # Async-native source: await between elements on the loop --
@@ -172,117 +125,53 @@ class AsyncioEngine(NotificationPolicy, RuntimeCore):
             async for _arrival, element in self.source_aevents(
                 source, aevents()
             ):
-                await self._admit_source_element(source, element)
+                if not await self._admit(source, element):
+                    return
         else:
             for _arrival, element in self.source_events(source):
-                await self._admit_source_element(source, element)
-        await condition.acquire()
-        try:
-            # Same rule as the other engines: arrived control is
-            # delivered, but feedback still in flight toward an exhausted
-            # source is dropped -- the stream is over.
-            self.drain_control(source)
-            self.finish_operator(source)
-            self._waiter.notify_all()
-        finally:
-            condition.release()
+                if not await self._admit(source, element):
+                    return
+        async with self._waiter.condition:
+            self.finish_source(source)
 
-    async def _admit_source_element(self, source: SourceOperator, element) -> None:
-        if self.emulate_costs:
-            cost = source.cost_of(element)
-            if cost > 0.0:
-                await asyncio.sleep(cost)  # outside the lock: sources overlap
-                source.metrics.busy_time += cost
-        else:
-            await asyncio.sleep(0)  # cooperative yield: consumers interleave
+    async def _admit(self, source: SourceOperator, element: Any) -> bool:
+        """Admit one element; False once the run aborted."""
+        # Cooperative yield (or modeled-cost sleep) outside the lock, so
+        # consumers interleave with the source.
+        await asyncio.sleep(self.source_cost(source, element))
         condition = self._waiter.condition
         await condition.acquire()
         try:
-            self.drain_control(source)
-            while self.is_paused(source):
-                # Honour backpressure: park until the consumer's resume
-                # arrives (every control send notifies the condition).
-                await self._wait_for_work(source)
-                self.drain_control(source)
-            self.dispatch_source_element(source, element)
-            wants_flush = getattr(source, "wants_flush", None)
-            if wants_flush is not None and wants_flush():
-                # Interactive feed gone quiet (Flow.ingest's channel is
-                # empty): flush partial pages now rather than batching
-                # them against input that may be seconds away.
-                source.flush_outputs()
-            self.check_pressure(source)
-            self._waiter.notify_all()
+            while not self.admit_source(source, element):
+                # Backpressure: park until the consumer's resume arrives
+                # (every control send notifies the condition).
+                await self._waiter.wait(self.wait_timeout(source))
         finally:
             condition.release()
+        return self._abort_error is None
 
     async def _operator_body(self, operator: Operator) -> None:
         condition = self._waiter.condition
         await condition.acquire()
         try:
-            while True:
-                if self.drain_control(operator):
-                    # Feedback handling may have emitted (partial results,
-                    # flushes, a lane-stash replay); consumers must hear
-                    # about it, and a replayed stash may refill a lane
-                    # queue past its high-water mark.
-                    self.check_pressure(operator)
-                    self._waiter.notify_all()
-                if self.is_paused(operator):
-                    # Transitive pressure: while paused this operator
-                    # pulls no pages, so its own inputs back up and pause
-                    # its producers.  Exhausted inputs may still finish
-                    # it -- holding finish hostage to a resume could
-                    # deadlock the tail of the stream.
-                    self.check_input_completion(operator)
-                    if operator.finished:
-                        return
-                    await self._wait_for_work(operator)
+            while (work := self.next_page(operator)) is not DONE:
+                if work is WAIT:
+                    await self._waiter.wait(self.wait_timeout(operator))
                     continue
-                page, port = None, None
-                for candidate in operator.inputs:
-                    if candidate is None:
-                        continue
-                    page = candidate.queue.get_page()
-                    if page is not None:
-                        port = candidate
-                        break
-                if page is None:
-                    # Out of input: flush partial output pages before
-                    # parking, so interactive (always-on) flows deliver
-                    # results at input-idle time instead of holding them
-                    # until a page fills.  Under sustained load pages
-                    # fill before the input runs dry, so batching -- and
-                    # the batch-path throughput floor -- is preserved.
-                    operator.flush_outputs()
-                    self.check_input_completion(operator)
-                    if operator.finished:
-                        return
-                    await self._wait_for_work(operator)
-                    continue
-                operator.set_now(self.clock.now())
+                port, page = work
                 # Cooperative yield (or modeled-cost sleep) with the lock
                 # released, so sibling coroutines -- shard replicas,
                 # upstream producers -- interleave per page the way the
-                # threaded engine's threads get preempted.
-                if self.emulate_costs and operator.needs_metering:
-                    cost = 0.0
-                    for element in page:
-                        cost += operator.admission_cost(port.index, element)
-                    await self._yield_outside_lock(cost)
-                    if cost > 0.0:
-                        operator.metrics.busy_time += cost
-                else:
-                    await self._yield_outside_lock(0)
-                # Page processing is synchronous and single-threaded, so
-                # holding the lock through it is free; control for this
-                # operator waits until the next loop turn (control-before-
-                # data is preserved per page, as on every engine).
+                # threaded engine's threads get preempted.  Processing is
+                # synchronous, so holding the lock through it is free.
+                cost = self.page_cost(operator, port, page)
+                condition.release()
+                try:
+                    await asyncio.sleep(cost)
+                finally:
+                    await condition.acquire()
                 operator.process_page(port.index, page)
-                self.mark_done_ports(operator)
-                self.check_relief(operator)
-                self.check_pressure(operator)
-                self._waiter.notify_all()
+                self.page_done(operator)
         finally:
             if condition.locked():
                 # Single-threaded loop: a held lock belongs to the
@@ -295,39 +184,19 @@ class AsyncioEngine(NotificationPolicy, RuntimeCore):
 
         Ticks run under the condition lock (the controller reads operator
         counters and enqueues control, like any callback); the task is
-        cancelled by ``_arun`` once the workers drain.  A tick failure is
-        captured like an action error so ``arun`` re-raises it.
+        cancelled by ``_arun`` once the workers drain.
         """
         interval = self.elastic.config.interval
-        condition = self._waiter.condition
         while True:
             await asyncio.sleep(interval)
-            await condition.acquire()
-            try:
-                try:
-                    self.elastic.tick(self.clock.now())
-                except BaseException as error:  # noqa: BLE001 - rethrown
-                    self._action_errors.append(error)
+            async with self._waiter.condition:
+                if not self.elastic_tick():
                     return
-                self._waiter.notify_all()
-            finally:
-                condition.release()
 
     async def _action_body(self, when: float, action: Callable[[], None]) -> None:
         await asyncio.sleep(max(0.0, when - self.clock.now()))
-        condition = self._waiter.condition
-        await condition.acquire()
-        try:
-            try:
-                action()
-            except BaseException as error:  # noqa: BLE001 - re-raised in run()
-                # A raised exception would otherwise vanish with this
-                # task and the run would report success with the action's
-                # effect silently missing.  Capture it; arun() re-raises.
-                self._action_errors.append(error)
-            self._waiter.notify_all()
-        finally:
-            condition.release()
+        async with self._waiter.condition:
+            self.run_action(action)
 
     # -- run -------------------------------------------------------------------------
 
@@ -350,30 +219,26 @@ class AsyncioEngine(NotificationPolicy, RuntimeCore):
             # consumer coroutines wake as soon as a producer's page lands.
             for edge in op.outputs:
                 edge.queue.attach_waiter(self._waiter)
-        condition = self._waiter.condition
-        await condition.acquire()
-        try:
+        async with self._waiter.condition:
             # on_start may inject feedback (notify_control), so it must
             # run under the same lock discipline as every callback.
             self._start_operators()
-        finally:
-            condition.release()
-        workers = []
-        for op in self.plan:
-            if isinstance(op, SourceOperator):
-                body = self._source_body(op)
-            else:
-                body = self._operator_body(op)
-            workers.append(asyncio.ensure_future(body))
-            workers[-1].set_name(f"op-{op.name}")
+        workers = [
+            asyncio.create_task(
+                self._source_body(op) if isinstance(op, SourceOperator)
+                else self._operator_body(op),
+                name=f"op-{op.name}",
+            )
+            for op in self._executed_operators()
+        ]
         actions = [
-            asyncio.ensure_future(self._action_body(when, action))
+            asyncio.create_task(self._action_body(when, action))
             for when, action in self._actions
         ]
         if self.elastic is not None:
-            ticker = asyncio.ensure_future(self._elastic_body())
-            ticker.set_name("elastic-controller")
-            actions.append(ticker)
+            actions.append(asyncio.create_task(
+                self._elastic_body(), name="elastic-controller"
+            ))
         try:
             await asyncio.wait_for(asyncio.gather(*workers), self.timeout)
         except asyncio.TimeoutError:
@@ -389,8 +254,7 @@ class AsyncioEngine(NotificationPolicy, RuntimeCore):
             for task in workers:
                 task.cancel()
             await asyncio.gather(*actions, *workers, return_exceptions=True)
-        if self._action_errors:
-            raise self._action_errors[0]
+        self._raise_run_error()
         return self.build_result(self.collect_metrics())
 
     def run(self) -> RunResult:

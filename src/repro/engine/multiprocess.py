@@ -226,12 +226,6 @@ class _WorkerRuntime(ThreadedRuntime):
     def _executed_operators(self) -> list[Operator]:
         return [op for op in self.plan if op.name in self._owned]
 
-    def _start_operators(self) -> None:
-        for op in self._executed_operators():
-            op.runtime = self
-            op.set_now(0.0)
-            op.on_start()
-
 
 class MultiprocessEngine(RuntimeCore):
     """Run a plan with one OS process per operator group.

@@ -8,16 +8,16 @@ future backends.  The fluent API (``repro.api.Flow``) is engine-agnostic
 *by name*, the way Beam/Flink-style builder APIs decouple pipeline
 authorship from runners:
 ``flow.run(engine="simulated")`` looks the engine up here instead of
-importing an engine class.  The ROADMAP's future backends (asyncio,
-sharded, multi-process workers) plug in with one ``register_engine`` call
-and every Flow/``compile_query`` call site can run on them unchanged.
+importing an engine class.  A new backend plugs in with one
+``register_engine`` call and every Flow/``compile_query`` call site can
+run on it unchanged.
 
 An engine *factory* is any callable ``factory(plan, **options) -> engine``
 where the returned engine exposes ``run() -> RunResult`` (in practice: a
 :class:`~repro.engine.runtime.RuntimeCore` subclass).  Engines that also
-expose ``at(time, action)`` support scheduled client actions -- both
-built-in engines do -- which is what ``Flow.run``'s declarative feedback
-injection rides on.
+expose ``at(time, action, *, owner=None)`` -- every ``RuntimeCore``
+subclass inherits it -- support scheduled client actions, which is what
+``Flow.run``'s declarative feedback injection rides on.
 
 Built-in registrations:
 

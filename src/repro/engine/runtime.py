@@ -12,10 +12,17 @@ split made explicit:
   ``notify_data`` / the feedback and output logs);
 * engines subclass it with a **policy**: the deterministic
   :class:`~repro.engine.simulator.Simulator` (event heap + virtual clock)
-  and the :class:`~repro.engine.threaded.ThreadedRuntime` (thread per
-  operator + condition waits).  Future backends (asyncio, sharded,
-  multi-process workers) add a policy subclass without re-implementing the
-  control/completion/finish protocol.
+  directly, and the concurrent engines through
+  :class:`~repro.engine.notify.NotificationPolicy`, whose sans-IO
+  scheduling step the :class:`~repro.engine.threaded.ThreadedRuntime`
+  (threads), the :class:`~repro.engine.async_engine.AsyncioEngine`
+  (coroutines) and the multiprocess engine's workers (threads, one
+  process per operator group) all drive.
+
+The core also owns what every engine shares around the protocol: input
+port choice (:meth:`RuntimeCore._next_port_with_work`), the set of
+operators an engine executes and starts, and client-side actions
+scheduled with :meth:`RuntimeCore.at`.
 
 Policy hooks a subclass may override:
 
@@ -75,7 +82,7 @@ control kinds forward hop-by-hop through both boundary operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.feedback import (
     CheckpointPunctuation,
@@ -92,7 +99,7 @@ from repro.engine.metrics import (
 )
 from repro.engine.plan import QueryPlan
 from repro.errors import EngineError
-from repro.operators.base import Operator, OutputEdge, SourceOperator
+from repro.operators.base import InputPort, Operator, OutputEdge, SourceOperator
 from repro.stream.clock import Clock
 from repro.stream.control import (
     ControlMessage,
@@ -162,6 +169,12 @@ class RuntimeCore:
         self._paused_outputs: dict[str, set[str]] = {}
         #: When each currently-paused operator's first pause landed.
         self._paused_since: dict[str, float] = {}
+        #: Client-side actions scheduled with :meth:`at`, and the errors
+        #: they raised on engines that run them off the caller's stack.
+        self._actions: list[tuple[float, Callable[[], None]]] = []
+        self._action_errors: list[BaseException] = []
+        #: Round-robin pointer of :meth:`_next_port_with_work`.
+        self._rr_port: dict[str, int] = {}
         #: Durability coordinator, or None when checkpointing is off.
         #: Setting any durability option activates it -- including the
         #: recovery restore (operator state, source rewind offsets, sink
@@ -244,8 +257,38 @@ class RuntimeCore:
             )
         self._started = True
 
+    def at(
+        self,
+        time: float,
+        action: Callable[[], None],
+        *,
+        owner: str | None = None,
+    ) -> None:
+        """Schedule a client-side action (poll, zoom, injection) at ``time``.
+
+        ``time`` is on the engine's clock: virtual seconds on the
+        simulator, wall-clock seconds from run start elsewhere.  An action
+        whose time falls after the plan has drained never fires -- the
+        same "the stream is over" rule every engine applies to in-flight
+        feedback.  ``owner`` optionally names the operator the action
+        targets; an engine running the whole plan in one process ignores
+        it, while the multiprocess engine requires it to route the action
+        to the worker owning that operator.
+        """
+        if self._started:
+            raise EngineError("schedule actions before calling run()")
+        self._actions.append((float(time), action))
+
+    def _executed_operators(self) -> list[Operator]:
+        """The operators this runtime drives and starts.
+
+        The whole plan by default; a multiprocess worker restricts this to
+        its owned group (remote operators run in their owning workers).
+        """
+        return list(self.plan)
+
     def _start_operators(self) -> None:
-        for op in self.plan:
+        for op in self._executed_operators():
             op.runtime = self
             op.set_now(0.0)
             op.on_start()
@@ -360,6 +403,41 @@ class RuntimeCore:
                 # kind this runtime predates -- are forwarded so every
                 # operator on the path still hears them.
                 operator.forward_control(message)
+
+    # -- port choice -----------------------------------------------------------------
+
+    def _next_port_with_work(self, operator: Operator) -> InputPort | None:
+        """The port whose head page became available earliest.
+
+        Ties break round-robin so neither input of a join can starve.
+        Only the simulator stamps ``available_at``; on wall-clock engines
+        every head ties and this is plain round-robin.
+        """
+        inputs = operator.inputs
+        if len(inputs) == 1:  # the common case; no rotation to keep
+            port = inputs[0]
+            if port is not None and port.queue.peek_page() is not None:
+                return port
+            return None
+        ports = [p for p in inputs if p is not None]
+        if not ports:
+            return None
+        start = self._rr_port.get(operator.name, 0) % len(ports)
+        best = None
+        best_at = None
+        for offset in range(len(ports)):
+            port = ports[(start + offset) % len(ports)]
+            head = port.queue.peek_page()
+            if head is None:
+                continue
+            available = head.available_at or 0.0
+            if best_at is None or available < best_at - 1e-12:
+                best, best_at = port, available
+        if best is not None:
+            self._rr_port[operator.name] = (
+                ports.index(best) + 1
+            ) % max(1, len(ports))
+        return best
 
     # -- flow control (backpressure) -----------------------------------------------
 

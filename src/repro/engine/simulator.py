@@ -48,7 +48,7 @@ from typing import Any, Callable, Iterator
 from repro.engine.plan import QueryPlan
 from repro.engine.runtime import RunResult, RuntimeCore
 from repro.errors import EngineError
-from repro.operators.base import InputPort, Operator, SourceOperator
+from repro.operators.base import Operator, SourceOperator
 from repro.stream.clock import VirtualClock
 
 __all__ = ["Simulator", "RunResult"]
@@ -98,9 +98,7 @@ class Simulator(RuntimeCore):
         self._busy_until: dict[str, float] = {}
         self._work_scheduled: dict[str, bool] = {}
         self._source_iters: dict[str, Iterator[tuple[float, Any]]] = {}
-        self._rr_port: dict[str, int] = {}
         self._events_processed = 0
-        self._actions: list[tuple[float, Callable[[], None]]] = []
         #: Source elements that arrived while their source was paused:
         #: exactly one per paused source (event chaining stops at the
         #: stash), replayed by ``_on_resumed``.
@@ -143,12 +141,6 @@ class Simulator(RuntimeCore):
             "work",
             operator,
         )
-
-    def at(self, time: float, action: Callable[[], None]) -> None:
-        """Schedule a client-side action (poll, zoom, demand) at a time."""
-        if self._started:
-            raise EngineError("schedule actions before calling run()")
-        self._actions.append((time, action))
 
     # -- RuntimeCore policy hooks --------------------------------------------------
 
@@ -203,7 +195,6 @@ class Simulator(RuntimeCore):
         for op in self.plan:
             self._busy_until[op.name] = 0.0
             self._work_scheduled[op.name] = False
-            self._rr_port[op.name] = 0
         self._start_operators()
         for source in self.plan.sources():
             iterator = iter(self.source_events(source))
@@ -304,31 +295,6 @@ class Simulator(RuntimeCore):
             port is not None and port.queue.ready_pages > 0
             for port in operator.inputs
         )
-
-    def _next_port_with_work(self, operator: Operator) -> InputPort | None:
-        """The port whose head page became available earliest.
-
-        Ties break round-robin so neither input of a join can starve.
-        """
-        ports = [p for p in operator.inputs if p is not None]
-        if not ports:
-            return None
-        start = self._rr_port[operator.name] % len(ports)
-        best = None
-        best_at = None
-        for offset in range(len(ports)):
-            port = ports[(start + offset) % len(ports)]
-            head = port.queue.peek_page()
-            if head is None:
-                continue
-            available = head.available_at or 0.0
-            if best_at is None or available < best_at - 1e-12:
-                best, best_at = port, available
-        if best is not None:
-            self._rr_port[operator.name] = (
-                ports.index(best) + 1
-            ) % max(1, len(ports))
-        return best
 
     def _make_meter(
         self, operator: Operator, port_index: int

@@ -6,48 +6,32 @@ operator has an object that it sleeps on when it has no work to do.  An
 operator is awakened when a new data page or control message is sent to
 it."
 
-Scheduling state (control draining, completion, pause bookkeeping, page
-hand-off) is serialised by a single plan lock, but **page processing runs
-outside it**: each operator thread pulls a page under the lock, releases
-it, processes the page -- emitting into per-queue-mutex-guarded
+This module is only a *driver*.  The scheduling step -- drain control
+before data, honour a pause, pick an input port, idle-flush and detect
+completion -- is the sans-IO :class:`~repro.engine.notify.
+NotificationPolicy` over :class:`~repro.engine.runtime.RuntimeCore` (see
+DESIGN.md section 3), shared with the asyncio engine.  Each operator
+thread takes the plan lock, asks the step for its next page, sleeps on a
+``threading.Condition`` while the answer is "wait", and **processes the
+page outside the lock**, emitting into per-queue-mutex-guarded
 :class:`~repro.stream.queues.DataQueue`\\ s (see
-``DataQueue.enable_thread_safety``) -- and re-acquires the lock only for
-the completion/watermark bookkeeping.  Operators on disjoint data
-therefore execute concurrently; with GIL-releasing work (hashing, C
-extensions) or ``emulate_costs`` sleeps, the plan scales across the shard
-replicas of a ``Partition``/``ShardMerge`` region (see
-``BENCH_shard.json``).  Per-operator structures (guards, hash tables,
-window state) need no locks: every mutation happens on the owning
-operator's thread -- feedback is drained by the receiver's own thread,
-and a queue has exactly one producer and one consumer thread.
-Timing-sensitive experiments use the simulator; this runtime exists to
-show the feedback framework is not simulator-bound and to exercise real
-concurrency.
-
-Like the simulator, this engine is a *policy* layer over
-:class:`~repro.engine.runtime.RuntimeCore` (see DESIGN.md section 3): the
-core owns control draining (including ``control_latency`` arrival
-semantics, which this runtime honours on the wall clock), completion
-bookkeeping and operator finish; this module owns the threads.  The
-wake-up half of the policy -- notify hooks, deferred-control deadlines --
-is the shared :class:`~repro.engine.notify.NotificationPolicy`, bound to
-a :class:`~repro.stream.waiters.ThreadConditionWaiter` here and to an
-``asyncio.Condition`` in the asyncio engine.  Waits are purely
-notification-driven -- every state change (page flushed, queue closed,
-control sent) is followed by a ``notify_all``, with page-ready and close
-events announced by the :class:`~repro.stream.queues.DataQueue` waiter
-seam itself -- so idle operators consume no CPU; the run-level
-``timeout`` is only a watchdog on thread joins.  Operators receive whole
-pages through :meth:`~repro.operators.base.Operator.process_page`, i.e.
-the batch fast path, since wall-clock time needs no per-element metering.
+``DataQueue.enable_thread_safety``); it re-takes the lock only for the
+step's after-page bookkeeping.  Operators on disjoint data therefore
+execute concurrently; with GIL-releasing work (hashing, C extensions) or
+``emulate_costs`` sleeps, the plan scales across the shard replicas of a
+``Partition``/``ShardMerge`` region (see ``BENCH_shard.json``).
+Per-operator structures (guards, hash tables, window state) need no
+locks: every mutation happens on the owning operator's thread -- feedback
+is drained by the receiver's own thread, and a queue has exactly one
+producer and one consumer thread.  Waits are purely
+notification-driven, so idle operators consume no CPU; the run-level
+``timeout`` is only a watchdog on thread joins.  Timing-sensitive
+experiments use the simulator; this runtime exists to show the feedback
+framework is not simulator-bound and to exercise real concurrency.
 
 Backpressure (``queue_capacity`` / bounded :class:`~repro.stream.queues.
-DataQueue`) is honoured cooperatively: a source thread sleeps between
-events while any of its output edges is paused, and an operator thread
-pulls no pages while paused -- both wake when the consumer's *resume*
-flow-control punctuation is drained.  See :mod:`repro.engine.runtime` for
-the shared watermark/signalling mechanism and ``docs/backpressure.md``
-for the deadlock-avoidance rules.
+DataQueue`) parks a paused source or operator thread on the condition
+until the consumer's *resume* is drained; see ``docs/backpressure.md``.
 
 Operators' ``now()`` reports wall-clock seconds since the run started, so
 sink arrival logs remain meaningful (if noisy).
@@ -59,9 +43,9 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.engine.notify import NotificationPolicy
+from repro.engine.notify import DONE, WAIT, NotificationPolicy
 from repro.engine.plan import QueryPlan
-from repro.engine.runtime import RunResult, RuntimeCore
+from repro.engine.runtime import RunResult
 from repro.errors import EngineError
 from repro.operators.base import Operator, SourceOperator
 from repro.stream.clock import WallClock
@@ -70,7 +54,7 @@ from repro.stream.waiters import ThreadConditionWaiter
 __all__ = ["ThreadedRuntime"]
 
 
-class ThreadedRuntime(NotificationPolicy, RuntimeCore):
+class ThreadedRuntime(NotificationPolicy):
     """Run a plan with one thread per operator and wake-up signalling.
 
     Parameters
@@ -126,155 +110,53 @@ class ThreadedRuntime(NotificationPolicy, RuntimeCore):
         self._lock = threading.RLock()
         self._wakeup = threading.Condition(self._lock)
         self._init_notifications(ThreadConditionWaiter(self._wakeup))
-        self._actions: list[tuple[float, Callable[[], None]]] = []
-        self._action_errors: list[BaseException] = []
-        #: First exception raised inside an operator thread.  It aborts
-        #: the whole run: every body checks the flag when it wakes, so
-        #: the run fails fast instead of hanging until the watchdog.
-        self._abort_error: BaseException | None = None
 
-    def at(
-        self,
-        time: float,
-        action: Callable[[], None],
-        *,
-        owner: str | None = None,
-    ) -> None:
-        """Schedule a client-side action at ``time`` wall-clock seconds.
-
-        Mirrors :meth:`Simulator.at` so callers (``Flow.run``'s feedback
-        injection, tests) can schedule actions engine-agnostically.  The
-        action runs on a timer thread under the plan lock, measured from
-        run start; an action whose time falls after the plan has already
-        drained never fires -- the same "the stream is over" rule both
-        engines apply to in-flight feedback.
-
-        ``owner`` optionally names the operator the action targets.  A
-        single-process runtime ignores it (every operator is local); the
-        multiprocess engine uses it to route the action to the worker
-        owning that operator.
-        """
-        if self._started:
-            raise EngineError("schedule actions before calling run()")
-        self._actions.append((float(time), action))
+    # The scheduling step (next_page/page_done, admit_source/finish_source,
+    # costs, abort) and the wake-up hooks come from NotificationPolicy,
+    # shared with the asyncio engine; what follows is only the driver.
 
     def _run_action(self, action: Callable[[], None]) -> None:
-        # Runs on a timer thread: a raised exception would otherwise be
-        # swallowed there and the run would report success with the
-        # action's effect silently missing.  Capture it; run() re-raises.
-        try:
-            with self._lock:
-                action()
-                self._wakeup.notify_all()
-        except BaseException as error:  # noqa: BLE001 - re-raised in run()
-            with self._lock:
-                self._action_errors.append(error)
-                self._wakeup.notify_all()
-
-    # The wake-up hooks (notify_control/notify_data, deferred-control
-    # deadlines, _on_finished/_on_paused/_on_resumed) come from
-    # NotificationPolicy, shared with the asyncio engine.
+        with self._lock:
+            self.run_action(action)
 
     # -- thread bodies --------------------------------------------------------------
 
-    def _wait_for_work(self, operator: Operator) -> None:
-        """Sleep until a page or control message arrives.
-
-        Purely notification-driven; the only timed wait is the arrival
-        deadline of an in-flight (deferred) control message.
-        """
-        self._wakeup.wait(timeout=self.wait_timeout(operator))
-
     def _source_body(self, source: SourceOperator) -> None:
         for _arrival, element in self.source_events(source):
-            if self.emulate_costs:
-                cost = source.cost_of(element)
-                if cost > 0.0:
-                    time.sleep(cost)  # outside the lock: sources overlap
-                    source.metrics.busy_time += cost
+            cost = self.source_cost(source, element)
+            if cost > 0.0:
+                time.sleep(cost)  # outside the lock: sources overlap
             with self._lock:
+                while not self.admit_source(source, element):
+                    # Backpressure: sleep until the consumer's resume
+                    # arrives (every control send notifies).
+                    self._wakeup.wait(self.wait_timeout(source))
                 if self._abort_error is not None:
                     return
-                self.drain_control(source)
-                while self.is_paused(source):
-                    # Honour backpressure: sleep until the consumer's
-                    # resume arrives (every control send notifies).
-                    self._wait_for_work(source)
-                    if self._abort_error is not None:
-                        return
-                    self.drain_control(source)
-                self.dispatch_source_element(source, element)
-                self.check_pressure(source)
-                self._wakeup.notify_all()
         with self._lock:
-            if self._abort_error is not None:
-                return
-            # Same rule as the simulator: arrived control is delivered,
-            # but feedback still in flight toward an exhausted source is
-            # dropped -- the stream is over and there is nothing left to
-            # exploit.
-            self.drain_control(source)
-            self.finish_operator(source)
-            self._wakeup.notify_all()
+            self.finish_source(source)
 
     def _operator_body(self, operator: Operator) -> None:
         while True:
-            with self._wakeup:
-                if self._abort_error is not None:
-                    return
-                if self.drain_control(operator):
-                    # Feedback handling may have emitted (partial results,
-                    # flushes, a lane-stash replay); consumers must hear
-                    # about it, and a replayed stash may refill a lane
-                    # queue past its high-water mark.
-                    self.check_pressure(operator)
-                    self._wakeup.notify_all()
-                if self.is_paused(operator):
-                    # Transitive pressure: while paused this operator
-                    # pulls no pages, so its own inputs back up and pause
-                    # its producers.  Exhausted inputs may still finish
-                    # it -- holding finish hostage to a resume could
-                    # deadlock the tail of the stream.
-                    self.check_input_completion(operator)
-                    if operator.finished:
-                        return
-                    self._wait_for_work(operator)
-                    continue
-                page, port = None, None
-                for candidate in operator.inputs:
-                    if candidate is None:
-                        continue
-                    page = candidate.queue.get_page()
-                    if page is not None:
-                        port = candidate
-                        break
-                if page is None:
-                    self.check_input_completion(operator)
-                    if operator.finished:
-                        return
-                    self._wait_for_work(operator)
-                    continue
-                operator.set_now(self.clock.now())
+            with self._lock:
+                while (work := self.next_page(operator)) is WAIT:
+                    self._wakeup.wait(self.wait_timeout(operator))
+            if work is DONE:
+                return
+            port, page = work
             # Page processing runs OUTSIDE the plan lock: emission goes
             # into mutex-guarded queues, per-operator state is only ever
             # touched by this thread, and control for this operator waits
-            # until the next loop turn (control-before-data is preserved
-            # per page, exactly as before).  This is what lets shard
-            # replicas -- and any operators on disjoint data -- execute
-            # concurrently instead of serialising on the plan lock.
-            if self.emulate_costs and operator.needs_metering:
-                cost = 0.0
-                for element in page:
-                    cost += operator.admission_cost(port.index, element)
-                if cost > 0.0:
-                    time.sleep(cost)
-                    operator.metrics.busy_time += cost
+            # until the next step (control-before-data is preserved per
+            # page).  This is what lets shard replicas -- and any
+            # operators on disjoint data -- execute concurrently instead
+            # of serialising on the plan lock.
+            cost = self.page_cost(operator, port, page)
+            if cost > 0.0:
+                time.sleep(cost)
             operator.process_page(port.index, page)
-            with self._wakeup:
-                self.mark_done_ports(operator)
-                self.check_relief(operator)
-                self.check_pressure(operator)
-                self._wakeup.notify_all()
+            with self._lock:
+                self.page_done(operator)
 
     def _elastic_body(self, stop: threading.Event) -> None:
         """Controller ticker: observe/decide/apply every ``interval``.
@@ -285,18 +167,10 @@ class ThreadedRuntime(NotificationPolicy, RuntimeCore):
         needed; the partition applies decisions from its own thread.
         """
         interval = self.elastic.config.interval
-        try:
-            while not stop.wait(interval):
-                with self._lock:
-                    if self._abort_error is not None:
-                        return
-                    self.elastic.tick(self.clock.now())
-                    self._wakeup.notify_all()
-        except BaseException as error:  # noqa: BLE001 - re-raised in run()
+        while not stop.wait(interval):
             with self._lock:
-                if self._abort_error is None:
-                    self._abort_error = error
-                self._wakeup.notify_all()
+                if not self.elastic_tick():
+                    return
 
     def _guard_body(
         self, body: Callable[[Operator], None], operator: Operator
@@ -312,19 +186,9 @@ class ThreadedRuntime(NotificationPolicy, RuntimeCore):
             body(operator)
         except BaseException as error:  # noqa: BLE001 - re-raised in run()
             with self._lock:
-                if self._abort_error is None:
-                    self._abort_error = error
-                self._wakeup.notify_all()
+                self.abort(error)
 
     # -- run -------------------------------------------------------------------------
-
-    def _executed_operators(self) -> list[Operator]:
-        """The operators this runtime starts threads for.
-
-        The whole plan by default; a multiprocess worker restricts this to
-        its owned group (remote operators run in their owning workers).
-        """
-        return list(self.plan)
 
     def run(self) -> RunResult:
         self._begin()
@@ -357,15 +221,14 @@ class ThreadedRuntime(NotificationPolicy, RuntimeCore):
         self._start_operators()
         threads: list[threading.Thread] = []
         for op in executed:
-            if isinstance(op, SourceOperator):
-                body, args = self._source_body, (op,)
-            else:
-                body, args = self._operator_body, (op,)
-            thread = threading.Thread(
-                target=self._guard_body, args=(body,) + args,
-                name=f"op-{op.name}", daemon=True,
+            body = (
+                self._source_body if isinstance(op, SourceOperator)
+                else self._operator_body
             )
-            threads.append(thread)
+            threads.append(threading.Thread(
+                target=self._guard_body, args=(body, op),
+                name=f"op-{op.name}", daemon=True,
+            ))
         timers: list[threading.Timer] = []
         for time, action in self._actions:
             timer = threading.Timer(time, self._run_action, args=(action,))
@@ -403,8 +266,5 @@ class ThreadedRuntime(NotificationPolicy, RuntimeCore):
             if ticker is not None:
                 ticker_stop.set()
                 ticker.join(self.timeout)
-        if self._abort_error is not None:
-            raise self._abort_error
-        if self._action_errors:
-            raise self._action_errors[0]
+        self._raise_run_error()
         return self.build_result(self.collect_metrics())

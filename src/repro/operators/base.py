@@ -1074,6 +1074,11 @@ class SourceOperator(Operator):
     def events(self) -> Iterator[tuple[float, Any]]:
         """Yield ``(arrival_time, element)`` pairs in arrival order."""
 
+    def wants_flush(self) -> bool:
+        """True when the feed went quiet and open output pages should
+        flush now (checked by the concurrent engines after each element)."""
+        return False
+
     def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
         raise PlanError(f"source {self.name} cannot receive tuples")
 

@@ -124,7 +124,7 @@ class AsyncIterableSource(SourceOperator):
             )
         self._factory = factory
         #: Latency hint for interactive feeds (``Flow.ingest``): when it
-        #: reports the upstream buffer empty, the asyncio engine flushes
+        #: reports the upstream buffer empty, the concurrent engines flush
         #: this source's open output pages instead of letting a partial
         #: page wait for more input.  Pages still batch under sustained
         #: load -- the hint only fires when the feed goes quiet.

@@ -253,6 +253,7 @@ class TestEngineParity:
             # cross-edge producer, which is provably still running.)
             *([("multiprocess", "keep",
                 {"queue_capacity": 16, "timeout": 60.0,
+                 "emulate_costs": True,
                  "groups": [["source", "keep"], ["sink"]]})]
               if fork_available() else []),
         ):

@@ -25,6 +25,7 @@ from repro.elasticity import (
     RebalanceAction,
     RebalanceRouter,
     ScaleAction,
+    ScalePolicy,
     ScriptedPolicy,
     scale_assignments,
 )
@@ -395,6 +396,43 @@ class TestRebalanceParity:
 
 def result_rebalances(result):
     return result.metrics.shard_metrics["region"].rebalances
+
+
+class _ExplodingPolicy(ScalePolicy):
+    def decide(self, observations):
+        raise RuntimeError("policy exploded")
+
+
+class TestTickFailure:
+    @pytest.mark.parametrize("engine", ["threaded", "asyncio"])
+    def test_raising_tick_aborts_the_run(self, engine):
+        """One rule on both concurrent engines: a raising tick aborts the
+        run at once instead of waiting for the plan to drain."""
+        import asyncio
+        import time
+
+        data = rows(200)
+
+        async def paced():  # ~4s of stream
+            for arrival, tup in data:
+                await asyncio.sleep(0.02)
+                yield arrival, tup
+
+        flow = Flow("tick-abort")
+        (flow.from_async_iterable(SCHEMA, paced, name="src")
+             .shard(2, key="sensor", name="region",
+                    pipeline=lambda lane: lane.window(
+                        count(), on="ts", width=1.0, by="sensor"))
+             .collect("sink"))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="policy exploded"):
+            flow.run(
+                engine, timeout=30.0,
+                elastic=ElasticConfig(
+                    interval=0.01, policy=_ExplodingPolicy()
+                ),
+            )
+        assert time.monotonic() - start < 2.0
 
 
 # ---------------------------------------------------------- minimal migration

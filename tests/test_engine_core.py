@@ -11,10 +11,14 @@ Plans are built so counts are schedule-independent: feedback is injected
 before any data flows (sink ``on_start``) and relaying is disabled at the
 exploiting operator, so no guard installation races an upstream thread.
 
-Also here: direct unit tests for the simulator's round-robin port
-selection (``_next_port_with_work``) and ``DataQueue.stamp_ready``.
+Also here: ``at(time, action, owner=...)`` on every engine, the idle-flush
+rule of the concurrent engines' shared scheduling step, direct unit tests
+for the core's round-robin port selection (``_next_port_with_work``) and
+``DataQueue.stamp_ready``.
 """
 
+import asyncio
+import threading
 import time
 
 import pytest
@@ -26,6 +30,7 @@ from repro.engine import (
     QueryPlan,
     Simulator,
     ThreadedRuntime,
+    create_engine,
     fork_available,
 )
 from repro.operators import (
@@ -241,6 +246,68 @@ class TestEngineParity:
         assert keep.metrics.pages_batched == keep.metrics.pages_in
 
 
+class TestScheduledActionOwner:
+    @pytest.mark.parametrize("make_engine", ENGINES)
+    def test_at_accepts_owner_on_every_engine(self, make_engine):
+        fired = []
+        engine = make_engine(build_source_only())
+        engine.at(0.1, lambda: fired.append(True), owner="sink")
+        engine.run()
+        if isinstance(engine, Simulator):
+            assert fired == [True]  # virtual time: the action always fires
+
+
+class TestIdleFlush:
+    """A quiet feed's tuples reach the sink while the feed is still open.
+
+    The shared scheduling step flushes a source's open pages when its feed
+    reports ``wants_flush()`` and an operator's open output pages when its
+    input runs dry.  Not run on multiprocess: the feed's release event,
+    set here, would never reach the forked source.
+    """
+
+    @pytest.mark.parametrize("engine", ["threaded", "asyncio"])
+    def test_quiet_feed_delivers_before_the_next_element(self, engine):
+        from repro.api import Flow
+
+        release = threading.Event()
+        yielded = [0]
+
+        async def events():
+            for i in range(3):
+                yielded[0] += 1
+                yield float(i), StreamTuple(SCHEMA, (float(i), i, float(i)))
+            while not release.is_set():  # the feed goes quiet
+                await asyncio.sleep(0.005)
+
+        flow = Flow("quiet", page_size=64)
+        (flow.from_async_iterable(
+            SCHEMA, events, name="feed", idle_flush=lambda: yielded[0] >= 3,
+        ).where(lambda t: True, name="keep").collect("sink"))
+        plan = flow.build()
+        sink = plan.operator("sink")
+        results = []
+        runner = threading.Thread(
+            target=lambda: results.append(
+                create_engine(engine, plan, timeout=30.0).run()
+            ),
+            daemon=True,
+        )
+        runner.start()
+        try:
+            deadline = time.monotonic() + 3.0
+            while len(sink.results) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            delivered = len(sink.results)
+            assert runner.is_alive()  # the feed is still blocked
+        finally:
+            release.set()
+            runner.join(30.0)
+        assert delivered == 3
+        assert not runner.is_alive()
+        assert len(results) == 1  # the run finished without raising
+
+
 class TestThreadedControlLatency:
     """The threaded runtime honours control_latency (it used to ignore it)."""
 
@@ -353,6 +420,20 @@ class TestNextPortWithWork:
     def test_no_ready_pages_returns_none(self):
         sim, union = self._union_sim()
         assert sim._next_port_with_work(union) is None
+
+    @pytest.mark.parametrize("engine", [ThreadedRuntime, AsyncioEngine])
+    def test_concurrent_step_alternates_unstamped_ports(self, engine):
+        """Wall-clock pages carry no stamp: the step's port choice is
+        round-robin rather than always draining port 0 first."""
+        sim, union = self._union_sim()
+        runtime = engine(sim.plan)
+        for port, values in ((0, [1, 2]), (1, [3, 4])):
+            queue = union.inputs[port].queue
+            for v in values:
+                queue.put(StreamTuple(SCHEMA, (0.0, 0, float(v))))
+            queue.flush()
+        picks = [runtime.next_page(union)[0].index for _ in range(4)]
+        assert picks == [0, 1, 0, 1]
 
 
 # -- DataQueue.stamp_ready ------------------------------------------------------
