@@ -131,10 +131,16 @@ class _DetachedRuntime:
 class Operator(abc.ABC):
     """Base class for every query operator.
 
-    Subclasses must implement :meth:`on_tuple` and may override
-    :meth:`on_punctuation` (default: forward), the feedback hooks, and the
-    lifecycle hooks :meth:`on_start`, :meth:`on_input_done`,
-    :meth:`on_finish`.
+    Subclasses implement exactly one data hook: :meth:`on_page` (a run of
+    tuples, for batch-native operators) or :meth:`on_tuple` (one tuple,
+    reached through the default :meth:`on_page`).  Every engine path --
+    batched, metered, harness-driven -- ends in :meth:`on_page`, so the
+    hook an operator defines is the only meaning its data has; defining
+    both, or an :meth:`on_tuple` under an inherited batch
+    :meth:`on_page`, is a ``TypeError`` at class creation.  Subclasses
+    may also override :meth:`on_punctuation` (default: forward), the
+    feedback hooks, and the lifecycle hooks :meth:`on_start`,
+    :meth:`on_input_done`, :meth:`on_finish`.
 
     Cost model: ``tuple_cost`` / ``punctuation_cost`` / ``control_cost``
     are virtual seconds charged by the simulator per element or message;
@@ -148,6 +154,26 @@ class Operator(abc.ABC):
     feedback_aware: bool = False
     #: Whether assumed feedback is forwarded upstream when safely mappable.
     relay_enabled: bool = True
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        """Enforce the one-data-hook rule (see the class docstring).
+
+        An :meth:`on_tuple` beside a batch :meth:`on_page` would run only
+        where that :meth:`on_page` chooses to call it, so the operator
+        would mean different things on different engine paths.
+        """
+        super().__init_subclass__(**kwargs)
+        if "on_tuple" not in cls.__dict__ or cls.on_page is Operator.on_page:
+            return
+        owner = next(k for k in cls.__mro__ if "on_page" in k.__dict__)
+        where = (
+            "also defines on_page" if owner is cls
+            else f"inherits a batch on_page from {owner.__qualname__}"
+        )
+        raise TypeError(
+            f"{cls.__qualname__} defines on_tuple but {where}; an operator "
+            f"has one data hook -- override on_page instead"
+        )
 
     def __init__(
         self,
@@ -311,7 +337,10 @@ class Operator(abc.ABC):
         """Entry point for one stream element on one input.
 
         Engines deliver whole pages through :meth:`process_page`; this
-        remains the per-element path for harnesses and direct tests.
+        remains the per-element path for metered engines, harnesses and
+        direct tests.  A tuple that survives the input guards reaches
+        :meth:`on_page` as a one-tuple run -- the same body the batch
+        path runs.
         """
         heads = self._ckpt_heads
         if heads and port_index in heads:
@@ -321,26 +350,35 @@ class Operator(abc.ABC):
                 element
             )
             return
-        if isinstance(element, CheckpointPunctuation):
-            self._on_checkpoint_marker(port_index, element)
-            return
-        if isinstance(element, RebalancePunctuation):
-            self._on_rebalance_marker(port_index, element)
-            return
-        port = self.input_port(port_index)
         if element.is_punctuation:
-            self.metrics.punctuations_in += 1
-            released = port.guards.expire_with(element)
-            if released:
-                self.on_guards_expired(port_index, element, released)
-            self.on_punctuation(port_index, element)
+            self._dispatch_punctuation(port_index, element)
             return
         self.metrics.tuples_in += 1
-        if port.guards.blocks(element):
+        if self.input_port(port_index).guards.blocks(element):
             self.metrics.input_guard_drops += 1
             self.on_guarded_drop(port_index, element)
             return
-        self.on_tuple(port_index, element)
+        self.on_page(port_index, [element])
+
+    def _dispatch_punctuation(self, port_index: int, element: Any) -> None:
+        """Route one punctuation-class element arriving on ``port_index``.
+
+        Checkpoint and rebalance markers go to their protocol handlers;
+        schema punctuation expires the input guards it covers and then
+        reaches :meth:`on_punctuation`.
+        """
+        if isinstance(element, CheckpointPunctuation):
+            self._on_checkpoint_marker(port_index, element)
+        elif isinstance(element, RebalancePunctuation):
+            self._on_rebalance_marker(port_index, element)
+        else:
+            self.metrics.punctuations_in += 1
+            released = self.input_port(port_index).guards.expire_with(
+                element
+            )
+            if released:
+                self.on_guards_expired(port_index, element, released)
+            self.on_punctuation(port_index, element)
 
     def process_page(
         self,
@@ -363,8 +401,7 @@ class Operator(abc.ABC):
         exactly as the per-element path does; when absent, the batch fast
         path applies.
         """
-        port = self.input_port(port_index)
-        guards = port.guards
+        guards = self.input_port(port_index).guards
         metrics = self.metrics
         metrics.pages_in += 1
 
@@ -400,28 +437,15 @@ class Operator(abc.ABC):
                 if batch:
                     self._dispatch_batch(port_index, guards, batch)
                     batch = []
-                if isinstance(element, CheckpointPunctuation):
-                    self._on_checkpoint_marker(port_index, element)
-                    heads = self._ckpt_heads
-                    if heads and port_index in heads:
-                        # The marker blocked this port mid-page: the
-                        # page's remainder waits behind it in the stash.
-                        self._ckpt_blocked.setdefault(
-                            port_index, deque()
-                        ).extend(elements[position + 1:])
-                        return
-                    continue
-                if isinstance(element, RebalancePunctuation):
-                    # Rebalance markers never block a port (lane members
-                    # are single-input by eligibility), so no remainder
-                    # stashing is needed here.
-                    self._on_rebalance_marker(port_index, element)
-                    continue
-                metrics.punctuations_in += 1
-                released = guards.expire_with(element)
-                if released:
-                    self.on_guards_expired(port_index, element, released)
-                self.on_punctuation(port_index, element)
+                self._dispatch_punctuation(port_index, element)
+                heads = self._ckpt_heads
+                if heads and port_index in heads:
+                    # A checkpoint marker blocked this port mid-page: the
+                    # page's remainder waits behind it in the stash.
+                    self._ckpt_blocked.setdefault(port_index, deque()).extend(
+                        elements[position + 1:]
+                    )
+                    return
                 continue
             batch.append(element)
         if batch:
@@ -452,22 +476,29 @@ class Operator(abc.ABC):
             self.on_page(port_index, kept)
 
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch hook: process a run of guard-surviving data tuples.
+        """Data hook: process a run of guard-surviving data tuples.
 
-        The default dispatches per element, which is correct for every
-        operator; stateless operators override it with a native batch
-        implementation (one pass, bulk emission) for throughput.
-        Overrides must be element-wise equivalent to :meth:`on_tuple` --
-        the page boundary carries no semantics.  ``batch`` may be the
-        page's own element buffer (the zero-copy fast path): treat it as
-        read-only.
+        Every engine path ends here: the batch path hands whole runs, the
+        per-element path (:meth:`process_element`) one-tuple runs.  The
+        default feeds each tuple to :meth:`on_tuple`, the hook of
+        per-tuple operators; batch-native operators override this
+        instead (one pass, bulk emission).  The page boundary carries no
+        semantics: an override must give the same result however the
+        stream is split into runs.  ``batch`` may be the page's own
+        element buffer (the zero-copy fast path): treat it as read-only.
         """
         for tup in batch:
             self.on_tuple(port_index, tup)
 
-    @abc.abstractmethod
     def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        """Process one data tuple."""
+        """Data hook of per-tuple operators: process one data tuple.
+
+        Reached only through the default :meth:`on_page`.
+        """
+        raise NotImplementedError(
+            f"{type(self).__qualname__} overrides neither on_page nor "
+            f"on_tuple"
+        )
 
     def on_punctuation(self, port_index: int, punct: Punctuation) -> None:
         """Process one embedded punctuation.  Default: forward it.
@@ -568,19 +599,9 @@ class Operator(abc.ABC):
             for edge in self.outputs:
                 edge.queue.put(marker)
             return
-        message = ControlMessage(
-            ControlMessageKind.CHECKPOINT,
-            Direction.UPSTREAM,
-            payload=marker,
-            sender=self.name,
-            sent_at=self.now(),
+        self._send_control(
+            ControlMessageKind.CHECKPOINT, Direction.UPSTREAM, marker
         )
-        for port in self.inputs:
-            if port is None:
-                continue
-            port.control.send(message)
-            if port.producer is not None:
-                runtime.notify_control(port.producer, at=self.now())
 
     def _ckpt_port_busy(self, port_index: int) -> bool:
         """Is ``port_index`` still mid-alignment (head pending or stash
@@ -732,16 +753,7 @@ class Operator(abc.ABC):
         native :meth:`on_page` implementations: one guard pass, then one
         :meth:`~repro.stream.queues.DataQueue.put_many` per output edge.
         """
-        if len(self.output_guards):
-            kept = []
-            blocks = self.output_guards.blocks
-            for tup in tuples:
-                if blocks(tup):
-                    self.metrics.output_guard_drops += 1
-                else:
-                    kept.append(tup)
-        else:
-            kept = list(tuples)
+        kept = self._unguarded(tuples)
         if not kept:
             return 0
         self.metrics.tuples_out += len(kept)
@@ -759,21 +771,25 @@ class Operator(abc.ABC):
         per-lane routing): one guard pass, one
         :meth:`~repro.stream.queues.DataQueue.put_many`.
         """
-        if len(self.output_guards):
-            kept = []
-            blocks = self.output_guards.blocks
-            for tup in tuples:
-                if blocks(tup):
-                    self.metrics.output_guard_drops += 1
-                else:
-                    kept.append(tup)
-        else:
-            kept = list(tuples)
+        kept = self._unguarded(tuples)
         if not kept:
             return 0
         self.metrics.tuples_out += len(kept)
         self.outputs[output_index].queue.put_many(kept)
         return len(kept)
+
+    def _unguarded(self, tuples: Sequence[StreamTuple]) -> list:
+        """The output-guard pass of the bulk emitters.
+
+        Returns a new list of the tuples no output guard blocks; each
+        blocked tuple counts as an output-guard drop.
+        """
+        if not len(self.output_guards):
+            return list(tuples)
+        blocks = self.output_guards.blocks
+        kept = [tup for tup in tuples if not blocks(tup)]
+        self.metrics.output_guard_drops += len(tuples) - len(kept)
+        return kept
 
     def emit_punctuation(self, punct: Punctuation) -> None:
         """Send an embedded punctuation downstream (flushes pages).
@@ -815,26 +831,55 @@ class Operator(abc.ABC):
         self.runtime.feedback_log.record(
             self.now(), self.name, feedback, (), note="produced"
         )
-        targets = (
-            range(self.n_inputs) if input_indices is None else input_indices
+        self._send_control(
+            ControlMessageKind.FEEDBACK, Direction.UPSTREAM, feedback,
+            ports=range(self.n_inputs) if input_indices is None
+            else input_indices,
         )
-        for index in targets:
-            self._send_upstream(index, feedback)
 
     def _send_upstream(
         self, port_index: int, feedback: FeedbackPunctuation
     ) -> None:
-        port = self.input_port(port_index)
-        message = ControlMessage(
-            ControlMessageKind.FEEDBACK,
-            Direction.UPSTREAM,
-            payload=feedback,
-            sender=self.name,
-            sent_at=self.now(),
+        self._send_control(
+            ControlMessageKind.FEEDBACK, Direction.UPSTREAM, feedback,
+            ports=(port_index,),
         )
-        port.control.send(message)
-        if port.producer is not None:
-            self.runtime.notify_control(port.producer, at=self.now())
+
+    def _send_control(
+        self,
+        kind: ControlMessageKind,
+        direction: Direction,
+        payload: Any,
+        *,
+        ports: Iterable[int] | None = None,
+    ) -> None:
+        """Send one control message from this operator and wake its peers.
+
+        Upstream, the message goes onto the control channel of every
+        connected input -- or of each input named in ``ports``, which
+        must be connected -- and wakes that input's producer.
+        Downstream, it goes to every output edge and wakes the consumer.
+        """
+        now = self.now()
+        message = ControlMessage(
+            kind, direction, payload=payload, sender=self.name, sent_at=now
+        )
+        notify = self.runtime.notify_control
+        if direction is Direction.UPSTREAM:
+            inputs = (
+                self.inputs if ports is None
+                else [self.input_port(index) for index in ports]
+            )
+            for port in inputs:
+                if port is None:
+                    continue
+                port.control.send(message)
+                if port.producer is not None:
+                    notify(port.producer, at=now)
+        else:
+            for edge in self.outputs:
+                edge.control.send(message)
+                notify(edge.consumer, at=now)
 
     def inject_feedback(self, feedback: FeedbackPunctuation) -> None:
         """Send client-originated feedback upstream from this operator.
@@ -851,24 +896,17 @@ class Operator(abc.ABC):
         self.runtime.feedback_log.record(
             self.now(), self.name, feedback, (), note="injected"
         )
-        for index in range(self.n_inputs):
-            self._send_upstream(index, feedback)
+        self._send_control(
+            ControlMessageKind.FEEDBACK, Direction.UPSTREAM, feedback,
+            ports=range(self.n_inputs),
+        )
 
     def request_results(self, pattern: Pattern | None = None) -> None:
         """Send a RESULT_REQUEST upstream on every input (Example 4)."""
-        for index in range(self.n_inputs):
-            port = self.input_port(index)
-            port.control.send(
-                ControlMessage(
-                    ControlMessageKind.RESULT_REQUEST,
-                    Direction.UPSTREAM,
-                    payload=pattern,
-                    sender=self.name,
-                    sent_at=self.now(),
-                )
-            )
-            if port.producer is not None:
-                self.runtime.notify_control(port.producer, at=self.now())
+        self._send_control(
+            ControlMessageKind.RESULT_REQUEST, Direction.UPSTREAM, pattern,
+            ports=range(self.n_inputs),
+        )
 
     # ----------------------------------------------------- feedback: receive
 
@@ -947,21 +985,9 @@ class Operator(abc.ABC):
 
     def on_result_request(self, pattern: Pattern | None) -> None:
         """Handle an on-demand result request; default: forward upstream."""
-        for index in range(self.n_inputs):
-            port = self.inputs[index]
-            if port is None:
-                continue
-            port.control.send(
-                ControlMessage(
-                    ControlMessageKind.RESULT_REQUEST,
-                    Direction.UPSTREAM,
-                    payload=pattern,
-                    sender=self.name,
-                    sent_at=self.now(),
-                )
-            )
-            if port.producer is not None:
-                self.runtime.notify_control(port.producer, at=self.now())
+        self._send_control(
+            ControlMessageKind.RESULT_REQUEST, Direction.UPSTREAM, pattern
+        )
 
     # ---------------------------------------------- flow control (backpressure)
 
@@ -1005,24 +1031,7 @@ class Operator(abc.ABC):
         exactly as it does to relayed feedback.
         """
         self.metrics.control_forwarded += 1
-        copy = ControlMessage(
-            message.kind,
-            message.direction,
-            payload=message.payload,
-            sender=self.name,
-            sent_at=self.now(),
-        )
-        if message.direction is Direction.UPSTREAM:
-            for port in self.inputs:
-                if port is None:
-                    continue
-                port.control.send(copy)
-                if port.producer is not None:
-                    self.runtime.notify_control(port.producer, at=self.now())
-        else:
-            for edge in self.outputs:
-                edge.control.send(copy)
-                self.runtime.notify_control(edge.consumer, at=self.now())
+        self._send_control(message.kind, message.direction, message.payload)
 
     # -------------------------------------------------------- feedback: relay
 

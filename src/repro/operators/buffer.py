@@ -64,31 +64,20 @@ class PriorityBuffer(Operator):
 
     # -- data --------------------------------------------------------------------
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        self._pending.append(tup)
-        self.metrics.grow_state()
-        while not self._held and len(self._pending) >= self.capacity:
-            self._release_one()
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path for the FIFO regime: drain releases in one emission.
+        """Buffer each arrival and release what overflows, in one emission.
 
-        With desires active, release order is data-dependent (a desired
-        tuple later in the run must not overtake scans that per-element
-        arrival would not have seen), so the per-element path is kept.
+        Each arrival releases the best pending tuple once the buffer is
+        full -- in arrival order, so a desired tuple later in the run
+        cannot overtake releases an earlier arrival already made.
         """
-        if self._desires or self._held:
-            for tup in batch:
-                self.on_tuple(port_index, tup)
-            return
         pending = self._pending
         released: list[StreamTuple] = []
         for tup in batch:
             pending.append(tup)
             self.metrics.grow_state()
-            while len(pending) >= self.capacity:
-                released.append(pending.popleft())
-                self.metrics.shrink_state()
+            while not self._held and len(pending) >= self.capacity:
+                released.append(self._take_best())
         if released:
             self.emit_many(released)
 
@@ -110,18 +99,19 @@ class PriorityBuffer(Operator):
 
     def on_finish(self) -> None:
         while self._pending:
-            self._release_one()
+            self.emit(self._take_best())
 
-    def _release_one(self) -> None:
-        """Release the best pending tuple (desired match first, then FIFO)."""
+    def _take_best(self) -> StreamTuple:
+        """Remove and return the best pending tuple (desired match first,
+        then FIFO)."""
+        self.metrics.shrink_state()
         for pattern in self._desires:
             for index, tup in enumerate(self._pending):
                 if pattern.matches(tup):
                     del self._pending[index]
                     self.priority_releases += 1
-                    self._emit_pending(tup)
-                    return
-        self._emit_pending(self._pending.popleft())
+                    return tup
+        return self._pending.popleft()
 
     def _emit_pending(self, tup: StreamTuple) -> None:
         self.metrics.shrink_state()
@@ -165,7 +155,7 @@ class PriorityBuffer(Operator):
         is_paused = getattr(self.runtime, "is_paused", None)
         self._held = bool(is_paused(self)) if is_paused is not None else False
         while not self._held and len(self._pending) >= self.capacity:
-            self._release_one()
+            self.emit(self._take_best())
 
     # -- feedback ---------------------------------------------------------------
 

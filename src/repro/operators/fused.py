@@ -48,7 +48,6 @@ from repro.punctuation.embedded import Punctuation
 from repro.punctuation.patterns import Pattern
 from repro.stream.control import ControlMessage, ControlMessageKind, Direction
 from repro.stream.queues import DataQueue
-from repro.stream.tuples import StreamTuple
 
 __all__ = ["FusedOperator", "fused_name"]
 
@@ -183,19 +182,17 @@ class _LinkControl:
 
     def send(self, message: ControlMessage) -> None:
         if message.direction is Direction.UPSTREAM:
-            if self.producer is None:
-                self.fused._boundary_upstream(message)
-            else:
-                self.fused._ctl_pending.append(
-                    (self.producer, message, self.producer_edge)
-                )
+            stage, edge = self.producer, self.producer_edge
         else:
-            if self.consumer is None:
-                self.fused._boundary_downstream(message)
-            else:
-                self.fused._ctl_pending.append(
-                    (self.consumer, message, None)
-                )
+            stage, edge = self.consumer, None
+        if stage is None:
+            # The send crossed the composite boundary: re-emit it for real
+            # on the composite's own ports.
+            self.fused._send_control(
+                message.kind, message.direction, message.payload
+            )
+        else:
+            self.fused._ctl_pending.append((stage, message, edge))
 
 
 class FusedOperator(Operator):
@@ -308,11 +305,6 @@ class FusedOperator(Operator):
 
     # ---------------------------------------------------------------- data path
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        self._head.process_element(0, tup)
-        if self._ctl_pending:
-            self._pump_control()
-
     def on_page(self, port_index: int, batch: list) -> None:
         self._head.process_page(0, batch)
         if self._ctl_pending:
@@ -344,35 +336,6 @@ class FusedOperator(Operator):
                 stage.on_result_request(message.payload)
             else:
                 stage.forward_control(message)
-
-    def _boundary_upstream(self, message: ControlMessage) -> None:
-        """A stage's upstream send crossed the head: re-emit for real."""
-        copy = ControlMessage(
-            message.kind,
-            message.direction,
-            payload=message.payload,
-            sender=self.name,
-            sent_at=self.now(),
-        )
-        for port in self.inputs:
-            if port is None:
-                continue
-            port.control.send(copy)
-            if port.producer is not None:
-                self.runtime.notify_control(port.producer, at=self.now())
-
-    def _boundary_downstream(self, message: ControlMessage) -> None:
-        """A stage's downstream send crossed the tail: re-emit for real."""
-        copy = ControlMessage(
-            message.kind,
-            message.direction,
-            payload=message.payload,
-            sender=self.name,
-            sent_at=self.now(),
-        )
-        for edge in self.outputs:
-            edge.control.send(copy)
-            self.runtime.notify_control(edge.consumer, at=self.now())
 
     def receive_feedback(
         self,

@@ -269,71 +269,41 @@ class Partition(Operator):
 
     # ------------------------------------------------------------------ data
 
-    def on_tuple(self, port_index: int, tup: StreamTuple) -> None:
-        slot, lane = self._slot_lane_of(tup)
-        if slot is not None:
-            self._slot_loads[slot] += 1
-            record = self._pending_rebalance
-            if record is not None and slot in record.moved:
-                # A moved key's old lane already cut its state; its new
-                # lane has not installed it yet.  Hold the tuple here --
-                # routing it either way would split the key's history.
-                if self.output_guards.blocks(tup):
-                    self.metrics.output_guard_drops += 1
-                    return
-                self.metrics.tuples_out += 1
-                self._rebalance_stash.append(tup)
-                self.tuples_held += 1
-                return
-        if lane not in self._paused_lanes:
-            self.emit_to(lane, tup)
-            return
-        if self.output_guards.blocks(tup):
-            self.metrics.output_guard_drops += 1
-            return
-        self.metrics.tuples_out += 1
-        self._stash.setdefault(lane, []).append(tup)
-        self.tuples_stashed += 1
-
     def on_page(self, port_index: int, batch: list) -> None:
-        """Batch path: bucket the run by lane, one bulk emit per lane.
+        """Bucket the run by lane, one bulk emit per lane.
 
-        Subclasses overriding :meth:`on_tuple` fall back to element-wise
-        dispatch, as does a migration window in progress -- the shortcut
-        is only valid for plain table routing.
+        While a migration is in progress, tuples of a moved slot are held
+        instead: the key's old lane already cut its state and its new
+        lane has not installed it yet, so routing them either way would
+        split the key's history.  A paused lane's tuples join its stash.
+        Held and stashed tuples pass the output guards on arrival.
         """
-        if (
-            type(self).on_tuple is not Partition.on_tuple
-            or self._pending_rebalance is not None
-        ):
-            for tup in batch:
-                self.on_tuple(port_index, tup)
-            return
         buckets: dict[int, list] = {}
         if self._router is None:
             for tup in batch:
                 buckets.setdefault(self.lane_of(tup), []).append(tup)
         else:
             loads = self._slot_loads
+            record = self._pending_rebalance
+            moved = () if record is None else record.moved
+            held = []
             for tup in batch:
                 slot, lane = self._slot_lane_of(tup)
                 loads[slot] += 1
-                buckets.setdefault(lane, []).append(tup)
-        blocks = (
-            self.output_guards.blocks if len(self.output_guards) else None
-        )
+                if slot in moved:
+                    held.append(tup)
+                else:
+                    buckets.setdefault(lane, []).append(tup)
+            if held:
+                held = self._unguarded(held)
+                self.metrics.tuples_out += len(held)
+                self._rebalance_stash.extend(held)
+                self.tuples_held += len(held)
         for lane, routed in buckets.items():
             if lane not in self._paused_lanes:
                 self.emit_many_to(lane, routed)
                 continue
-            if blocks is not None:
-                kept = []
-                for tup in routed:
-                    if blocks(tup):
-                        self.metrics.output_guard_drops += 1
-                    else:
-                        kept.append(tup)
-                routed = kept
+            routed = self._unguarded(routed)
             if routed:
                 self.metrics.tuples_out += len(routed)
                 self._stash.setdefault(lane, []).extend(routed)
@@ -773,18 +743,10 @@ class ShardMerge(Union):
             del self._rebalance_cuts[marker.epoch]
             if record is None or record.aborted:
                 return
-            port = self.input_port(0)
-            port.control.send(
-                ControlMessage(
-                    ControlMessageKind.REBALANCE,
-                    Direction.UPSTREAM,
-                    payload=record,
-                    sender=self.name,
-                    sent_at=self.now(),
-                )
+            self._send_control(
+                ControlMessageKind.REBALANCE, Direction.UPSTREAM, record,
+                ports=(0,),
             )
-            if port.producer is not None:
-                self.runtime.notify_control(port.producer, at=self.now())
             return
         if marker.phase == "install":
             seen = self._rebalance_installs.get(marker.epoch, 0) + 1

@@ -1,15 +1,15 @@
 """Native ``on_page`` batch paths: join family and window aggregates.
 
-The page-batched operator path (DESIGN.md section 4) requires every
-native ``on_page`` override to be *element-wise equivalent* to
-``on_tuple`` -- the page boundary carries no semantics.  These tests pin
-that contract for the operators that gained native batch hooks in the
-sharding PR: :class:`SymmetricHashJoin` (build/probe in bulk, outer
-padding in arrival order), :class:`ThriftyJoin` / :class:`ImpatientJoin`
-(feedback production preserved), and :class:`WindowAggregate` (hoisted
-accumulation), plus engine-level parity: the same flow run costed
-(per-element metered path), uncosted (batch path) and threaded must
-produce identical result multisets.
+An operator has one data hook (DESIGN.md section 4), and the page
+boundary carries no semantics: pushing tuples one at a time (one-tuple
+runs through ``process_element``) must give the same result as pushing
+them as whole pages.  These tests pin that for the batch-native join
+family and window aggregates: :class:`SymmetricHashJoin` (build/probe in
+bulk, outer padding in arrival order), :class:`ThriftyJoin` /
+:class:`ImpatientJoin` (feedback production preserved), and
+:class:`WindowAggregate` (hoisted accumulation), plus engine-level
+parity: the same flow run costed (per-element metered path), uncosted
+(batch path) and threaded must produce identical result multisets.
 """
 
 from __future__ import annotations

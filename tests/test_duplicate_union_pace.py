@@ -307,7 +307,7 @@ class TestBatchParity:
         assert batched.metrics.pages_batched == 1
 
     def test_pace_subclass_keeps_elementwise_semantics(self, schema):
-        """PACE overrides on_tuple; the Union batch path must not bypass it."""
+        """PACE's per-tuple lateness policy holds on the page path too."""
         pace = Pace(
             "pace", schema, timestamp_attribute="ts", tolerance=1.0,
         )
